@@ -1,5 +1,6 @@
 #include "ledger/chain.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/log.hpp"
@@ -366,32 +367,28 @@ void Blockchain::apply_txs_parallel(
       mv.publish(i, r.writes);
       rec[i] = std::move(r);
     });
-    // In-order validation: tx i is final once every read still resolves to
-    // the version it observed AND that version's writer is itself final —
-    // a matching version from a non-final writer may be a doomed
-    // speculation about to republish. Validating in index order means a
-    // writer validated earlier in this same pass already counts, and the
-    // lowest pending tx (whose reads can only hit final writers) always
-    // finalizes, so the loop runs at most n waves.
+    // In-order validation with prefix finality: tx i is final once every
+    // read still resolves to the version it observed AND every lower tx is
+    // already final. A matching version proves nothing while a lower tx is
+    // pending — its re-run may write a key i read (say, after a stale run
+    // that failed and so published nothing there). Past the first invalid
+    // tx, txs whose reads still match stay pending without re-running and
+    // are validated again after the next wave; only invalid ones re-run.
+    // The lowest pending tx reads only final writers, so it always
+    // finalizes and the loop runs at most n waves.
     std::vector<std::size_t> next;
+    bool prefix_final = true;
     for (std::size_t i = 0; i < n; ++i) {
       if (final_tx[i]) continue;
-      bool valid = true;
-      for (const auto& [key, seen] : rec[i].reads) {
-        if (seen.version.writer != ReadVersion::kBase &&
-            !final_tx[static_cast<std::size_t>(seen.version.writer)]) {
-          valid = false;
-          break;
-        }
-        if (!(mv.current_version(key, i) == seen.version)) {
-          valid = false;
-          break;
-        }
-      }
-      if (valid) {
-        final_tx[i] = 1;
-      } else {
+      const bool valid = std::all_of(
+          rec[i].reads.begin(), rec[i].reads.end(), [&](const auto& read) {
+            return mv.current_version(read.first, i) == read.second.version;
+          });
+      if (!valid) {
         next.push_back(i);
+        prefix_final = false;
+      } else if (prefix_final) {
+        final_tx[i] = 1;
       }
     }
     aborted += next.size();

@@ -87,7 +87,9 @@ struct ExecStats {
   std::uint64_t serial_blocks = 0;    // blocks run on the serial baseline path
   std::uint64_t parallel_blocks = 0;  // blocks run through the speculative engine
   std::uint64_t speculated = 0;       // speculative tx executions (incl. re-runs)
-  std::uint64_t aborted = 0;          // read-set validation failures
+  std::uint64_t aborted = 0;          // txs sent back to a wave by a failed
+                                      // read-set check (txs kept pending
+                                      // for re-validation do not count)
   std::uint64_t reexecuted = 0;       // executions beyond the first, per tx
   std::uint64_t waves = 0;            // scheduling waves across parallel blocks
 

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -219,6 +221,30 @@ TEST(SpeculativeViewTest, RecordsReadSetAndStaysStableAcrossRepublish) {
 
 // ------------------------------------------------- serial ≡ parallel
 
+/// Asserts that two chains at the same height hold bit-identical results:
+/// state root, tip, gas totals, and the tip block's receipts and events.
+void expect_identical(const Blockchain& serial, const Blockchain& parallel) {
+  ASSERT_EQ(serial.height(), parallel.height());
+  EXPECT_EQ(serial.state().root(), parallel.state().root());
+  EXPECT_EQ(serial.tip_hash(), parallel.tip_hash());
+  EXPECT_EQ(serial.total_gas_used(), parallel.total_gas_used());
+  const auto h = serial.height();
+  const BlockResult& a = serial.result_at(h);
+  const BlockResult& b = parallel.result_at(h);
+  ASSERT_EQ(a.receipts.size(), b.receipts.size());
+  for (std::size_t i = 0; i < a.receipts.size(); ++i) {
+    EXPECT_EQ(a.receipts[i].tx_id, b.receipts[i].tx_id) << "tx " << i;
+    EXPECT_EQ(a.receipts[i].success, b.receipts[i].success) << "tx " << i;
+    EXPECT_EQ(a.receipts[i].gas_used, b.receipts[i].gas_used) << "tx " << i;
+    EXPECT_EQ(a.receipts[i].error, b.receipts[i].error) << "tx " << i;
+  }
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    EXPECT_EQ(a.events[i].name, b.events[i].name) << "event " << i;
+    EXPECT_EQ(a.events[i].data, b.events[i].data) << "event " << i;
+  }
+}
+
 /// Serial-config and parallel-config chains driven with identical blocks;
 /// every block's results must match bit-for-bit.
 struct TwinChains {
@@ -237,29 +263,7 @@ struct TwinChains {
     const Block block = serial->make_block(std::move(txs), 0, 1000);
     ASSERT_TRUE(serial->apply_block(block).ok());
     ASSERT_TRUE(parallel->apply_block(block).ok());
-    expect_identical();
-  }
-
-  void expect_identical() const {
-    ASSERT_EQ(serial->height(), parallel->height());
-    EXPECT_EQ(serial->state().root(), parallel->state().root());
-    EXPECT_EQ(serial->tip_hash(), parallel->tip_hash());
-    EXPECT_EQ(serial->total_gas_used(), parallel->total_gas_used());
-    const auto h = serial->height();
-    const BlockResult& a = serial->result_at(h);
-    const BlockResult& b = parallel->result_at(h);
-    ASSERT_EQ(a.receipts.size(), b.receipts.size());
-    for (std::size_t i = 0; i < a.receipts.size(); ++i) {
-      EXPECT_EQ(a.receipts[i].tx_id, b.receipts[i].tx_id) << "tx " << i;
-      EXPECT_EQ(a.receipts[i].success, b.receipts[i].success) << "tx " << i;
-      EXPECT_EQ(a.receipts[i].gas_used, b.receipts[i].gas_used) << "tx " << i;
-      EXPECT_EQ(a.receipts[i].error, b.receipts[i].error) << "tx " << i;
-    }
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (std::size_t i = 0; i < a.events.size(); ++i) {
-      EXPECT_EQ(a.events[i].name, b.events[i].name) << "event " << i;
-      EXPECT_EQ(a.events[i].data, b.events[i].data) << "event " << i;
-    }
+    expect_identical(*serial, *parallel);
   }
 
   KvExecutor serial_exec, parallel_exec;
@@ -358,6 +362,100 @@ TEST(ParallelEquivalenceTest, TombstonesAndRewritesMatchSerial) {
     }
   }
   twins.apply(std::move(mix));
+}
+
+/// KvExecutor plus a gate that forces one interleaving: a lower tx's stale
+/// run fails, so it publishes nothing on a key a higher tx reads. "open"
+/// sets kv/gate, but when armed only after a "guarded_add" has read the
+/// gate; "guarded_add" fails while the gate is closed and is otherwise an
+/// "add". "open" waits once, with a bounded timeout, so re-runs and serial
+/// execution never block on it.
+class GateExecutor final : public TransactionExecutor {
+ public:
+  explicit GateExecutor(bool armed) : armed_(armed) {}
+
+  Status execute(const Transaction& tx, OverlayState& state,
+                 ExecContext& ctx) override {
+    Transaction inner = tx;
+    if (tx.method == "open") {
+      wait_for_gate_read();
+      inner.method = "set";
+    } else if (tx.method == "guarded_add") {
+      const bool open = state.get_ptr("kv/gate") != nullptr;
+      {
+        std::lock_guard lock(mu_);
+        gate_read_ = true;
+      }
+      gate_read_cv_.notify_all();
+      if (!open) return Status(ErrorCode::kFailedPrecondition, "gate closed");
+      inner.method = "add";
+    }
+    return inner_.execute(inner, state, ctx);
+  }
+
+  /// True once an armed "open" saw the gate read before it wrote the gate.
+  bool forced_interleaving() const {
+    std::lock_guard lock(mu_);
+    return forced_;
+  }
+
+ private:
+  void wait_for_gate_read() {
+    std::unique_lock lock(mu_);
+    if (!armed_) return;
+    armed_ = false;
+    forced_ = gate_read_cv_.wait_for(lock, std::chrono::seconds(10),
+                                     [&] { return gate_read_; });
+  }
+
+  KvExecutor inner_;
+  mutable std::mutex mu_;
+  std::condition_variable gate_read_cv_;
+  bool armed_;
+  bool gate_read_ = false;
+  bool forced_ = false;
+};
+
+TEST(ParallelEquivalenceTest, PendingLowerWriterBlocksFinality) {
+  ScopedThreads threads(4);  // a 4-tx block: one tx per pool chunk
+  auto with_method = [](Transaction tx, const char* method,
+                        const KeyPair& key) {
+    tx.method = method;
+    tx.sign_with(key);
+    return tx;
+  };
+  // tx0 opens the gate only after tx1 has read it closed, so tx1's first
+  // run fails and writes nothing to "hot". tx2 reads "hot" from pre-block
+  // state — a version that still matches after wave 1 — yet it must not
+  // finalize while tx1 is pending: tx1's re-run adds 5 to "hot".
+  std::vector<Transaction> txs;
+  txs.push_back(with_method(make_set_tx(test_key(800), 0, "gate", "open"),
+                            "open", test_key(800)));
+  txs.push_back(with_method(make_add_tx(test_key(801), 0, "hot", 5),
+                            "guarded_add", test_key(801)));
+  txs.push_back(make_add_tx(test_key(802), 0, "hot", 1));
+  txs.push_back(make_set_tx(test_key(803), 0, "cold", "v"));
+
+  GateExecutor serial_exec(/*armed=*/false), parallel_exec(/*armed=*/true);
+  ChainConfig serial_config;
+  serial_config.parallel_execution = false;
+  Blockchain serial(serial_exec, serial_config);
+  Blockchain parallel(parallel_exec);
+  const Block block = serial.make_block(std::move(txs), 0, 1000);
+  ASSERT_TRUE(serial.apply_block(block).ok());
+  ASSERT_TRUE(parallel.apply_block(block).ok());
+  EXPECT_TRUE(parallel_exec.forced_interleaving());
+  expect_identical(serial, parallel);
+  ByteReader r{BytesView(*parallel.state().get_ptr("kv/hot"))};
+  EXPECT_EQ(r.u64().value_or(0), 6u);
+
+  // tx1 and tx2 re-run once each. tx3's reads stayed valid while it waited
+  // for the lower txs to finalize, so it was kept, not re-run.
+  const ExecStats& s = parallel.exec_stats();
+  EXPECT_EQ(s.parallel_blocks, 1u);
+  EXPECT_EQ(s.speculated, 6u);
+  EXPECT_EQ(s.waves, 3u);
+  EXPECT_EQ(s.aborted, s.reexecuted);
 }
 
 // The satellite property test: 100 seeded random blocks swept across
